@@ -30,25 +30,11 @@ touching the JSON file (the CI smoke).  ``--profile`` runs the hottest
 scenario (the fully loaded 8×8 mesh) under cProfile for the event and
 vector schedules and prints the top-20 functions by cumulative time.
 
-A third scenario family exercises the sharded kernel (:mod:`repro.sim.shard`):
-a fully loaded 16×16 mesh partitioned across 4 worker processes, timed
-against the single-process event kernel, with unconditional bit-identity of
-activity, delivered words and energy per bit.
-
-A fourth family compares the two shard transports head to head: the same
-fabric run over the ``pipe`` transport (pickled frame dictionaries relayed
-through the parent) and over the ``shm`` transport (struct-packed frames in
-preallocated shared-memory rings, the parent demoted to a control plane),
-recording frames, bytes per exchange window and overlap hits for each.
-
 Future PRs regress against that file: the 8×8 mesh at ≤25 % occupancy must
 stay ≥3× faster under ``auto`` than under ``strict``, the 8×8 paced-stream
 row must stay ≥8× (cycle leaping), the fully loaded 8×8 mesh must stay
 ≥3× faster under ``event`` than under ``auto`` (sparse per-event work) and
-≥2× faster under ``vector`` than under ``event`` (the columnar plane), the
-sharded 16×16 row must stay bit-identical everywhere and ≥2× faster on
-hosts whose recorded ``host_cpus`` is at least 4, and the shm transport
-rows must move strictly fewer bytes per exchange window than the pipe rows.
+≥2× faster under ``vector`` than under ``event`` (the columnar plane).
 """
 
 from __future__ import annotations
@@ -56,12 +42,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import time
 from pathlib import Path
 
 from repro.apps.traffic import BitFlipPattern, word_generator
-from repro.noc.fabric import build_network
 from repro.noc.network import CircuitSwitchedNoC
 from repro.noc.path_allocation import LaneAllocator
 from repro.noc.topology import Mesh2D
@@ -88,21 +72,6 @@ PACED_LOAD = 0.1
 #: The timed tier must make paced traffic at least this much faster.
 PACED_SPEEDUP_TARGET = 8.0
 PACED_CYCLES = {4: 2500, 8: 1200}
-#: The sharded scenario: a fully loaded 16×16 mesh split across 4 worker
-#: processes.  Bit-identity with the single-process run is unconditional;
-#: the wall-clock speedup target only binds on hosts with enough cores
-#: (``host_cpus`` is recorded in the row so CI can gate on it).
-SHARDED_MESH = 16
-SHARDED_WORKERS = 4
-SHARDED_CYCLES = 300
-SHARDED_SPEEDUP_TARGET = 2.0
-#: The transport comparison: the same sharded fabric run once over the pipe
-#: transport (pickled frames through the parent) and once over the
-#: shared-memory transport (struct-packed frames in preallocated rings).
-#: Frame counts and exchange windows must match exactly; the shm rows must
-#: move strictly fewer bytes per exchange window.
-TRANSPORT_MESHES = (16, 32)
-TRANSPORT_CYCLES = {16: 300, 32: 120}
 
 
 def build_scenario(
@@ -173,131 +142,6 @@ def run_benchmark(size: int, occupancy: float, cycles: int, load: float = 1.0) -
     }
 
 
-def _fabric_scenario(size: int, shards: int | None = None, transport: str | None = None):
-    """A size×size full-load row-stream mesh through the fabric front door.
-
-    Built via :func:`~repro.noc.fabric.build_network` so the identical
-    attachment sequence produces either the single-process network or the
-    sharded one (``shards=N``, optionally pinned to one *transport*).
-    """
-    kwargs = {"frequency_hz": FREQUENCY_HZ, "schedule": "event"}
-    if shards:
-        kwargs["shards"] = shards
-    if transport:
-        kwargs["transport"] = transport
-    network = build_network("circuit", Mesh2D(size, size), **kwargs)
-    for row in range(size):
-        network.attach_channel(
-            f"row{row}",
-            (0, row),
-            (size - 1, row),
-            100.0,
-            word_generator(BitFlipPattern.TYPICAL, seed=row),
-            load=1.0,
-        )
-    return network
-
-
-def _fabric_snapshot(network) -> tuple:
-    return (
-        network.merged_activity().as_dict(),
-        network.stream_statistics(),
-        network.energy_per_delivered_bit_pj(),
-    )
-
-
-def run_sharded_benchmark(
-    size: int = SHARDED_MESH,
-    workers: int = SHARDED_WORKERS,
-    cycles: int = SHARDED_CYCLES,
-) -> dict:
-    """Time the single-process event kernel against *workers* shard processes.
-
-    Bit-identity (activity counters, delivered words, energy per bit) is
-    checked unconditionally; the recorded ``host_cpus`` lets CI require the
-    ≥2× speedup only where the hardware can physically provide it.
-    """
-    single = _fabric_scenario(size)
-    single_elapsed = _measure(single, cycles)
-    single_snapshot = _fabric_snapshot(single)
-
-    sharded = _fabric_scenario(size, shards=workers)
-    start = time.perf_counter()
-    sharded.run(cycles)
-    sharded_elapsed = time.perf_counter() - start
-    sharded_snapshot = _fabric_snapshot(sharded)
-    transport = sharded.transport
-    sharded.close()
-
-    return {
-        "scenario": "sharded",
-        "mesh": f"{size}x{size}",
-        "occupancy": 1.0,
-        "active_rows": size,
-        "load": 1.0,
-        "cycles": cycles,
-        "workers": workers,
-        "transport": transport,
-        "host_cpus": os.cpu_count(),
-        "single_cycles_per_sec": round(cycles / single_elapsed, 1),
-        "sharded_cycles_per_sec": round(cycles / sharded_elapsed, 1),
-        "speedup": round(single_elapsed / sharded_elapsed, 2),
-        "identical_results": single_snapshot == sharded_snapshot,
-    }
-
-
-def run_transport_benchmark(
-    size: int = SHARDED_MESH,
-    workers: int = SHARDED_WORKERS,
-    cycles: int = SHARDED_CYCLES,
-) -> list[dict]:
-    """Run the sharded fabric over both transports and compare exchange cost.
-
-    One single-process reference run establishes the expected observables;
-    the pipe and shm sharded runs must both reproduce them bit-identically
-    while the row records what each transport paid per exchange window:
-    frames, bytes, bytes/window and overlap hits (windows whose inbound
-    frames were already published when the reader arrived — latency the
-    double-buffered rings hid entirely).
-    """
-    single = _fabric_scenario(size)
-    single.run(cycles)
-    reference = _fabric_snapshot(single)
-
-    rows = []
-    for transport in ("pipe", "shm"):
-        network = _fabric_scenario(size, shards=workers, transport=transport)
-        elapsed = _measure(network, cycles)
-        snapshot = _fabric_snapshot(network)
-        stats = network.stats
-        network.close()
-        # exchange_windows is merged over all workers; each fleet-wide
-        # exchange contributes one window per worker.
-        windows = stats.exchange_windows / workers
-        rows.append(
-            {
-                "scenario": "shard-transport",
-                "mesh": f"{size}x{size}",
-                "occupancy": 1.0,
-                "active_rows": size,
-                "load": 1.0,
-                "cycles": cycles,
-                "workers": workers,
-                "transport": transport,
-                "cycles_per_sec": round(cycles / elapsed, 1),
-                "frames_sent": stats.frames_sent,
-                "frame_bytes": stats.frame_bytes,
-                "exchange_windows": int(windows),
-                "frame_bytes_per_window": round(stats.frame_bytes / windows, 2)
-                if windows
-                else 0.0,
-                "overlap_hits": stats.overlap_hits,
-                "identical_results": snapshot == reference,
-            }
-        )
-    return rows
-
-
 def run_all(cycles_override: int | None = None) -> list[dict]:
     rows = []
     for size in MESH_SIZES:
@@ -309,15 +153,6 @@ def run_all(cycles_override: int | None = None) -> list[dict]:
     for size, cycles in PACED_CYCLES.items():
         rows.append(
             run_benchmark(size, 0.25, cycles_override or cycles, load=PACED_LOAD)
-        )
-    # The sharded kernel: the same fabric partitioned over worker processes.
-    rows.append(run_sharded_benchmark(cycles=cycles_override or SHARDED_CYCLES))
-    # The transport comparison: pipe vs shared-memory exchange cost.
-    for size in TRANSPORT_MESHES:
-        rows.extend(
-            run_transport_benchmark(
-                size, cycles=cycles_override or TRANSPORT_CYCLES[size]
-            )
         )
     return rows
 
@@ -352,31 +187,6 @@ def test_kernel_paced_stream_leaps_past_silent_cycles(once):
     assert row["identical_results"]
     assert row["leaps"] > 0
     assert row["speedup"] >= PACED_SPEEDUP_TARGET
-
-
-def test_kernel_sharded_partition_is_bit_identical(once):
-    """The sharded kernel's acceptance bar that binds on any host: the
-    partitioned fabric must reproduce the single process exactly (the
-    speedup bar is hardware-gated in CI via the recorded host_cpus)."""
-    row = once(run_sharded_benchmark, 8, 2, 200)
-    assert row["identical_results"]
-
-
-def test_kernel_shm_transport_moves_fewer_bytes_per_window(once):
-    """The shared-memory transport's acceptance bar: identical frames and
-    windows as the pipe transport, strictly fewer bytes per exchange window
-    (struct-packed records vs pickled tuples), and bit-identical results."""
-    # 4 workers: the auto partition cuts the 8×8 mesh into 2×2 quadrants,
-    # so every west→east row circuit crosses the vertical cut (a 2-shard
-    # split is horizontal and the row streams would never leave a shard).
-    rows = once(run_transport_benchmark, 8, 4, 200)
-    by_transport = {row["transport"]: row for row in rows}
-    assert all(row["identical_results"] for row in rows)
-    pipe, shm = by_transport["pipe"], by_transport["shm"]
-    assert shm["frames_sent"] == pipe["frames_sent"]
-    assert shm["exchange_windows"] == pipe["exchange_windows"]
-    assert 0 < shm["frame_bytes_per_window"] < pipe["frame_bytes_per_window"]
-    assert shm["overlap_hits"] > 0 and pipe["overlap_hits"] == 0
 
 
 def test_kernel_event_schedule_wins_at_full_load(once):
@@ -416,32 +226,6 @@ def quick_smoke() -> None:
             raise SystemExit(
                 "schedule results diverged — the kernel optimisation is unsound"
             )
-    shard_row = run_sharded_benchmark(8, 2, 200)
-    print(
-        f"{shard_row['scenario']} {shard_row['mesh']} workers={shard_row['workers']} "
-        f"host_cpus={shard_row['host_cpus']} transport={shard_row['transport']} "
-        f"speedup={shard_row['speedup']}x identical={shard_row['identical_results']}"
-    )
-    if not shard_row["identical_results"]:
-        raise SystemExit("sharded run diverged from the single process — unsound")
-    # 4 workers so the 2×2 quadrant cut intersects the row circuits.
-    transport_rows = run_transport_benchmark(8, 4, 200)
-    by_transport = {row["transport"]: row for row in transport_rows}
-    for row in transport_rows:
-        print(
-            f"{row['scenario']} {row['mesh']} transport={row['transport']} "
-            f"bytes/window={row['frame_bytes_per_window']} "
-            f"overlap_hits={row['overlap_hits']} identical={row['identical_results']}"
-        )
-        if not row["identical_results"]:
-            raise SystemExit(
-                f"{row['transport']} transport diverged from the single process — unsound"
-            )
-    if not (
-        by_transport["shm"]["frame_bytes_per_window"]
-        < by_transport["pipe"]["frame_bytes_per_window"]
-    ):
-        raise SystemExit("shm transport did not reduce bytes per exchange window")
 
 
 def profile_hottest(cycles: int = 400, top: int = 20) -> None:
@@ -495,49 +279,19 @@ def main() -> None:
             "clock between word injections.  speedup is auto vs strict; "
             "event_speedup is event vs auto; vector_speedup is vector vs "
             "event (the struct-of-arrays wire plane batching whole fabric "
-            "cycles through NumPy).  The sharded row times the 16x16 full-load "
-            "fabric split over worker processes against the single-process "
-            "event kernel; its speedup is single vs sharded wall-clock and "
-            "only binds on hosts with host_cpus >= 4.  shard-transport rows "
-            "run the same sharded fabric over the pipe transport (pickled "
-            "frames through the parent) and the shared-memory transport "
-            "(struct-packed frames in preallocated double-buffered rings); "
-            "frame_bytes_per_window is the merged boundary traffic divided "
-            "by fleet-wide exchange windows, and the shm row must stay "
-            "strictly below the pipe row at every mesh size."
+            "cycles through NumPy)."
         ),
         "frequency_hz": FREQUENCY_HZ,
         "speedup_target_8x8_low_occupancy": SPEEDUP_TARGET,
         "speedup_target_paced_stream": PACED_SPEEDUP_TARGET,
         "speedup_target_event_full_load": EVENT_FULL_LOAD_TARGET,
         "speedup_target_vector_full_load": VECTOR_FULL_LOAD_TARGET,
-        "speedup_target_sharded": SHARDED_SPEEDUP_TARGET,
         "results": rows,
     }
     out_path = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out_path}")
     for row in rows:
-        if row["scenario"] == "shard-transport":
-            print(
-                f"{row['scenario']:<13} {row['mesh']} workers={row['workers']} "
-                f"transport={row['transport']:<4} "
-                f"{row['cycles_per_sec']:>9} cyc/s "
-                f"frames={row['frames_sent']} "
-                f"bytes/window={row['frame_bytes_per_window']:>8} "
-                f"overlap_hits={row['overlap_hits']} "
-                f"identical={row['identical_results']}"
-            )
-            continue
-        if row["scenario"] == "sharded":
-            print(
-                f"{row['scenario']:<13} {row['mesh']} workers={row['workers']} "
-                f"host_cpus={row['host_cpus']} "
-                f"single={row['single_cycles_per_sec']:>9} cyc/s "
-                f"sharded={row['sharded_cycles_per_sec']:>9} cyc/s "
-                f"speedup={row['speedup']:>6}x identical={row['identical_results']}"
-            )
-            continue
         print(
             f"{row['scenario']:<13} {row['mesh']} occ={row['occupancy']:<4} "
             f"strict={row['strict_cycles_per_sec']:>9} cyc/s "

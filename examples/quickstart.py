@@ -15,15 +15,10 @@ activity, and the static / internal / switching power estimate at the paper's
 Run with::
 
     python examples/quickstart.py
-
-``--shards N`` additionally runs a small circuit-switched mesh partitioned
-across ``N`` worker processes (:mod:`repro.sim.shard`) and prints the
-cross-shard merged scheduler statistics next to the delivered words.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 
 from repro import CircuitSwitchedRouter, LaneLink, Port
@@ -81,48 +76,5 @@ def main() -> None:
         print(f"  {key:<16}: {value}")
 
 
-def sharded_demo(shards: int) -> None:
-    """A 4×4 circuit-switched mesh split over *shards* worker processes."""
-    from repro.apps.traffic import BitFlipPattern, word_generator
-    from repro.noc.fabric import build_network
-    from repro.noc.topology import Mesh2D
-
-    network = build_network("circuit", Mesh2D(4, 4), frequency_hz=25e6, shards=shards)
-    network.attach_channel(
-        "demo", (0, 0), (3, 3), 50.0, word_generator(BitFlipPattern.TYPICAL, seed=7)
-    )
-    network.run(2000)
-    print()
-    print(
-        f"=== sharded quickstart: 4x4 mesh over {shards} workers "
-        f"({network.transport} transport) ==="
-    )
-    for name, entry in network.stream_statistics().items():
-        print(f"stream {name:<12}: {entry['received']} of {entry['sent']} words delivered")
-    print("cross-shard scheduler statistics (merged over all workers):")
-    for key, value in network.stats.as_dict().items():
-        print(f"  {key:<16}: {value}")
-    stats = network.stats
-    if stats.exchange_windows:
-        windows = stats.exchange_windows / shards
-        print(
-            f"boundary exchange: {stats.frames_sent} frames, "
-            f"{stats.frame_bytes / windows:.1f} bytes/window over "
-            f"{windows:.0f} windows, {stats.overlap_hits} overlap hits"
-        )
-    network.close()
-
-
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also run a small mesh partitioned over N worker processes",
-    )
-    args = parser.parse_args()
     main()
-    if args.shards:
-        sharded_demo(args.shards)

@@ -112,8 +112,7 @@ def word_generator(
       in expectation).
 
     The callables are plain picklable objects (not closures), so a stream
-    attached to an already-running :class:`repro.sim.shard.ShardedNetwork`
-    or shipped to a :mod:`repro.experiments.farm` worker crosses the process
+    shipped to a :mod:`repro.experiments.farm` worker crosses the process
     boundary with its generator state intact.
     """
     if width < 1:

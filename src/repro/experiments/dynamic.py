@@ -237,7 +237,9 @@ def run_dynamic_workload(
     Events are applied in cycle order; between events the network simulates
     normally.  Arrivals run the full CCN pipeline (admit + program + attach
     traffic); infeasible arrivals are counted as rejections and skipped.
-    Departures detach the application's streams and release every resource.
+    Departures detach the application's streams and release every resource;
+    the departure of a rejected (or fault-displaced and rejected) arrival is
+    logged and otherwise ignored.
 
     With a *selector* every arrival is first scored across the candidate
     fabrics and the recommendation recorded in
@@ -271,6 +273,9 @@ def run_dynamic_workload(
     #: Labels whose application was displaced-and-rejected by a fault; their
     #: scheduled departure events become tolerated no-ops.
     vanished: set = set()
+    #: Labels whose arrival the CCN rejected; their scheduled departure
+    #: likewise finds nothing to release.
+    never_admitted: set = set()
     #: graph.name of every application label currently admitted.
     live: Dict[str, str] = {}
     #: Delivered-word baseline per live stream, recorded at attach time (the
@@ -316,11 +321,13 @@ def run_dynamic_workload(
                 except (MappingError, AllocationError) as error:
                     epoch.rejections += 1
                     result.rejected.append(event.application)
+                    never_admitted.add(event.application)
                     epoch.events.append(
                         f"reject {event.application} ({type(error).__name__})"
                     )
                 else:
                     live[event.application] = graph.name
+                    never_admitted.discard(event.application)
                     stats = network.stream_statistics()
                     for name in admission.stream_names:
                         baselines[name] = stats[name]["received"]
@@ -337,6 +344,12 @@ def run_dynamic_workload(
                         vanished.discard(event.application)
                         epoch.events.append(
                             f"depart {event.application} (already displaced)"
+                        )
+                        continue
+                    if event.application in never_admitted:
+                        never_admitted.discard(event.application)
+                        epoch.events.append(
+                            f"depart {event.application} (never admitted)"
                         )
                         continue
                     raise ReproError(

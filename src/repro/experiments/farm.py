@@ -13,9 +13,8 @@ pattern they share:
   pickling, no fork — which keeps single-job runs debuggable and makes the
   parallel path a pure opt-in.
 
-This is the coarse-grained counterpart of :mod:`repro.sim.shard`: the farm
-parallelises *across* independent simulations, the sharded kernel
-parallelises *within* one.
+One simulation always runs in one process; the farm is where parallelism
+lives, *across* independent simulations.
 """
 
 from __future__ import annotations

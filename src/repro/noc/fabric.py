@@ -17,14 +17,13 @@ about the concrete class.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type, TypeVar
 
 from repro.common import ConfigurationError, ReproError
 from repro.energy.activity import ActivityCounters
 from repro.energy.power import PowerBreakdown
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
 from repro.noc.topology import IrregularMesh, Position, Topology
-from repro.noc.word_proxy import WordSourceRegistry
 from repro.sim.engine import SimulationKernel
 
 __all__ = [
@@ -77,7 +76,6 @@ class NocBase:
         data_width: int,
         tech: Technology = TSMC_130NM_LVHP,
         schedule: str = "auto",
-        region: Optional[Iterable[Position]] = None,
     ) -> None:
         self.topology = topology
         #: Backwards-compatible alias; the attribute predates non-mesh fabrics.
@@ -85,28 +83,17 @@ class NocBase:
         self.frequency_hz = frequency_hz
         self.data_width = data_width
         self.tech = tech
-        #: Shard region (``None`` = the whole topology).  A region network
-        #: physically builds only its own routers, but keeps the *full*
-        #: topology for admission/routing decisions, so every shard of a
-        #: deterministically replayed configuration sequence computes the
-        #: identical allocations (:mod:`repro.sim.shard`).
-        self.region: Optional[frozenset] = (
-            frozenset(region) if region is not None else None
-        )
         self.kernel = SimulationKernel(frequency_hz, schedule=schedule)
 
-        self.routers: Dict[Position, Any] = {}
-        for position in topology.positions():
-            if self.region is None or position in self.region:
-                self.routers[position] = self._build_router(position)
+        self.routers: Dict[Position, Any] = {
+            position: self._build_router(position) for position in topology.positions()
+        }
 
-        # One directed link per topology edge; a region network materialises
-        # every link with at least one local endpoint, so each cut link has a
-        # mirror copy in both adjacent shards (the boundary-proxy pair).
-        self.links: Dict[Tuple[Position, Position], Any] = {}
-        for src, dst in topology.directed_links():
-            if self.region is None or src in self.region or dst in self.region:
-                self.links[(src, dst)] = self._build_link(src, dst)
+        # One directed link per topology edge.
+        self.links: Dict[Tuple[Position, Position], Any] = {
+            (src, dst): self._build_link(src, dst)
+            for src, dst in topology.directed_links()
+        }
 
         # Attach the links to the routers: the link (a -> b) is a's outgoing
         # bundle on the port towards b, and b's incoming bundle on the
@@ -123,21 +110,10 @@ class NocBase:
 
         self.streams: Dict[str, Any] = {}
 
-        #: Shard-exact pull routing for word sources shared between
-        #: channels (:mod:`repro.noc.word_proxy`).  Region networks only;
-        #: a single-process network pulls its sources directly.
-        self._word_registry: Optional[WordSourceRegistry] = (
-            WordSourceRegistry(self.kernel) if self.region is not None else None
-        )
-
         #: Undirected links killed at run time (:meth:`fail_link`).
         self.dead_links: set = set()
         #: Router positions killed at run time (:meth:`fail_router`).
         self.dead_routers: set = set()
-
-    def is_local(self, position: Position) -> bool:
-        """True when *position* lies in this network's shard region (or no region is set)."""
-        return self.region is None or position in self.region
 
     def _register_with_kernel(self) -> None:
         """Register the routers with the simulation kernel.
@@ -253,34 +229,6 @@ class NocBase:
         """
         raise NotImplementedError
 
-    def _register_stream_source(
-        self,
-        name: str,
-        word_source: "WordSource",
-        local: bool,
-        model_factory: Callable[[], Any],
-    ) -> "WordSource":
-        """Route one stream's word source through the shard pull registry.
-
-        Every ``add_stream`` of a kind calls this exactly once per stream,
-        in the replicated configuration order, flagging whether the
-        stream's driver is local to this shard; *model_factory* builds the
-        kind's exact remote pull model (only invoked when remote).  On a
-        single-process network this is the identity — the driver pulls the
-        source directly.
-        """
-        registry = self._word_registry
-        if registry is None:
-            return word_source
-        model = None if local else model_factory()
-        return registry.register(name, word_source, local, model)
-
-    def _deactivate_stream_source(self, name: str) -> None:
-        """Tell the pull registry this stream's driver left the kernel."""
-        registry = self._word_registry
-        if registry is not None:
-            registry.deactivate(name, self.kernel.cycle)
-
     def _remove_component(self, component: Any) -> None:
         """Take one endpoint component off the kernel (tolerates absence).
 
@@ -307,7 +255,6 @@ class NocBase:
         except KeyError:
             raise ConfigurationError(f"no stream named {name!r}") from None
         self._remove_component(getattr(endpoints, "source", None))
-        self._deactivate_stream_source(name)
 
     def detach_stream(self, name: str) -> Any:
         """Remove one registered stream's endpoints from the network.
@@ -324,7 +271,6 @@ class NocBase:
         except KeyError:
             raise ConfigurationError(f"no stream named {name!r}") from None
         self._detach_stream_components(endpoints)
-        self._deactivate_stream_source(name)
         return endpoints
 
     def detach_channel(self, name: str, drain_cycles: int = 0) -> None:
@@ -419,30 +365,15 @@ class NocBase:
         topology view and rebuilding routing is
         :class:`repro.noc.faults.FaultInjector` territory.
         """
-        if (a, b) not in self.links and (b, a) not in self.links:
-            if self.region is None:
-                raise ConfigurationError(f"no link between {a} and {b}")
-            # A shard without a local copy still records the fault so its
-            # degraded-topology view matches every other shard's.
-            self.dead_links.add((a, b) if a <= b else (b, a))
-            return 0
+        if (a, b) not in self.links:
+            raise ConfigurationError(f"no link between {a} and {b}")
         if self.vector_plane is not None:
             # The plane owns the internal wire state while batching; bring
             # the wires back to scalar coherence (so the in-flight drop
             # count reads true values) and force a recompile that
             # reclassifies the dead bundle onto the scalar drive path.
             self.vector_plane.desync()
-        dropped = 0
-        for key in ((a, b), (b, a)):
-            link = self.links.get(key)
-            if link is not None:
-                lost = link.fail()
-                # Cut links exist as mirror copies in both adjacent shards
-                # and both mirrors hold the same in-flight state; counting
-                # only the copy whose driver is local keeps the network-wide
-                # drop total exact (full networks own every driver).
-                if key[0] in self.routers:
-                    dropped += lost
+        dropped = self.links[(a, b)].fail() + self.links[(b, a)].fail()
         self.dead_links.add((a, b) if a <= b else (b, a))
         return dropped
 
@@ -454,16 +385,14 @@ class NocBase:
         residual state drains onto its dead links and is counted there.
         Returns the in-flight wire units lost on the incident links.
         """
-        if position not in self.routers and self.region is None:
+        if position not in self.routers:
             raise ConfigurationError(f"no router at position {position}")
         if self.vector_plane is not None:
             self.vector_plane.desync()
         dropped = 0
         for (src, dst), link in self.links.items():
             if position in (src, dst):
-                lost = link.fail()
-                if src in self.routers:
-                    dropped += lost
+                dropped += link.fail()
                 self.dead_links.add((src, dst) if src <= dst else (dst, src))
         self.dead_routers.add(position)
         return dropped
@@ -500,17 +429,8 @@ class NocBase:
         """
 
     def fault_drops(self) -> int:
-        """Wire-level units swallowed by dead links (:attr:`fault_drop_unit`).
-
-        Counted on the directed copies whose driving router is local, so the
-        per-shard totals of a sharded run add up to the single-network figure
-        (a cut link's mirror copy would otherwise be counted twice).
-        """
-        return sum(
-            getattr(link, "dropped", 0)
-            for key, link in self.links.items()
-            if key[0] in self.routers
-        )
+        """Wire-level units swallowed by dead links (:attr:`fault_drop_unit`)."""
+        return sum(getattr(link, "dropped", 0) for link in self.links.values())
 
     # -- access ---------------------------------------------------------------------------
 
@@ -568,9 +488,7 @@ class NocBase:
     def activity_snapshot(self) -> Dict[Position, Tuple[Dict[str, float], int]]:
         """Per-router ``(counters, cycles)`` in plain comparable form.
 
-        The equivalence tests diff this across schedules and against the
-        sharded network's cross-shard aggregate
-        (:meth:`repro.sim.shard.ShardedNetwork.activity_snapshot`).
+        The equivalence tests diff this across schedules.
         """
         return {
             position: (router.activity.as_dict(), router.activity.cycles)
@@ -645,29 +563,7 @@ def build_network(kind: str, topology: Topology, **params: Any) -> Any:
     ``kind`` accepts the canonical names and the short aliases used by
     :func:`repro.experiments.harness.run_scenario` (``circuit``/``cs``,
     ``packet``/``ps``, ``gt``/``aethereal``/``tdma``);
-    ``params`` are forwarded to the network constructor.
-
-    ``shards=N`` (with an optional ``partition_mode`` and ``transport``)
-    builds the same network partitioned over *N* worker processes instead
-    — a :class:`repro.sim.shard.ShardedNetwork` mirroring this reporting
-    surface, bit-identical to the single-process network.
-    ``transport="auto"`` exchanges boundary frames through shared-memory
-    rings where supported, falling back to the parent-routed pipes.
+    ``params`` are forwarded to the network constructor, which rejects
+    any it does not know.
     """
-    shards = params.pop("shards", None)
-    if shards is not None and shards > 1:
-        from repro.sim.shard import ShardedNetwork
-
-        partition_mode = params.pop("partition_mode", "auto")
-        transport = params.pop("transport", "auto")
-        return ShardedNetwork(
-            kind,
-            topology,
-            shards=shards,
-            partition_mode=partition_mode,
-            transport=transport,
-            **params,
-        )
-    params.pop("partition_mode", None)
-    params.pop("transport", None)
     return resolve_network_kind(kind)(topology, **params)

@@ -50,7 +50,6 @@ from repro.energy.technology import TSMC_130NM_LVHP, Technology
 from repro.noc.fabric import NocBase, WordSource, register_network_kind
 from repro.noc.slot_table import SlotAllocation, SlotCircuit, SlotTableAllocator
 from repro.noc.topology import Position, Topology
-from repro.noc.word_proxy import GtPullModel
 from repro.sim.engine import ClockedComponent
 from repro.sim.signals import DirtyBit, WakeListener
 
@@ -732,7 +731,6 @@ class TimeDivisionNoC(NocBase):
         data_width: int = 16,
         tech: Technology = TSMC_130NM_LVHP,
         schedule: str = "auto",
-        region=None,
     ) -> None:
         self.slots = slots
         super().__init__(
@@ -741,7 +739,6 @@ class TimeDivisionNoC(NocBase):
             data_width=data_width,
             tech=tech,
             schedule=schedule,
-            region=region,
         )
 
     # -- construction hooks -----------------------------------------------------------
@@ -784,16 +781,14 @@ class TimeDivisionNoC(NocBase):
     def apply_circuit(self, circuit: SlotCircuit) -> None:
         """Write one slot train into the routers along its route."""
         for hop in circuit.hops:
-            if self.is_local(hop.position):
-                self.router_at(hop.position).program(
-                    hop.out_port, hop.slot, hop.in_port, circuit.channel_name
-                )
+            self.router_at(hop.position).program(
+                hop.out_port, hop.slot, hop.in_port, circuit.channel_name
+            )
 
     def remove_circuit(self, circuit: SlotCircuit) -> None:
         """Erase one slot train from the routers again."""
         for hop in circuit.hops:
-            if self.is_local(hop.position):
-                self.router_at(hop.position).clear(hop.out_port, hop.slot)
+            self.router_at(hop.position).clear(hop.out_port, hop.slot)
 
     def apply_allocation(self, allocation: SlotAllocation) -> None:
         """Program every slot train of a channel allocation."""
@@ -830,36 +825,16 @@ class TimeDivisionNoC(NocBase):
             self.streams[name] = endpoints
             return endpoints
         cycles_per_word = max(1, round(self.slots / allocation.slots_used))
-        # The TDMA driver pulls conditionally (a full injection queue drops
-        # the offer), so the remote model needs the queue bound and the
-        # slot-table drain schedule: one pop per programmed injection slot
-        # (the first hop of each slot train) per table revolution.
-        word_source = self._register_stream_source(
-            name,
+        driver = GtStreamDriver(
+            f"{name}_src",
+            self.router_at(allocation.src),
+            allocation.channel_name,
             word_source,
-            self.is_local(allocation.src),
-            lambda: GtPullModel(
-                load,
-                cycles_per_word,
-                self.slots,
-                [circuit.hops[0].slot for circuit in allocation.circuits],
-                8,  # GtStreamDriver's queue_limit default
-                self.kernel.cycle,
-            ),
+            load,
+            cycles_per_word=cycles_per_word,
         )
-        driver = sink = None
-        if self.is_local(allocation.src):
-            driver = GtStreamDriver(
-                f"{name}_src",
-                self.router_at(allocation.src),
-                allocation.channel_name,
-                word_source,
-                load,
-                cycles_per_word=cycles_per_word,
-            )
-            self.kernel.add(driver)
-        if self.is_local(allocation.dst):
-            sink = self.router_at(allocation.dst).tile
+        self.kernel.add(driver)
+        sink = self.router_at(allocation.dst).tile
         endpoints = GtStreamEndpoints(name, driver, sink, allocation)
         self.streams[name] = endpoints
         return endpoints

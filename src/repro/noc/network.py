@@ -18,7 +18,6 @@ from typing import List, Optional
 
 from repro.common import ConfigurationError
 from repro.core.configuration import COMMAND_BITS
-from repro.core.header import phits_per_packet
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter
 from repro.core.testbench import TileStreamConsumer, TileStreamDriver
@@ -26,7 +25,6 @@ from repro.energy.technology import TSMC_130NM_LVHP, Technology
 from repro.noc.fabric import NocBase, WordSource, register_network_kind
 from repro.noc.path_allocation import CircuitAllocation, LaneAllocator, LaneCircuit
 from repro.noc.topology import Position, Topology
-from repro.noc.word_proxy import PacedPullModel
 
 __all__ = ["StreamEndpoints", "CircuitSwitchedNoC"]
 
@@ -72,7 +70,6 @@ class CircuitSwitchedNoC(NocBase):
         clock_gating: bool = False,
         tech: Technology = TSMC_130NM_LVHP,
         schedule: str = "auto",
-        region=None,
     ) -> None:
         self.lanes_per_port = lanes_per_port
         self.lane_width = lane_width
@@ -83,7 +80,6 @@ class CircuitSwitchedNoC(NocBase):
             data_width=data_width,
             tech=tech,
             schedule=schedule,
-            region=region,
         )
 
     # -- construction hooks -----------------------------------------------------------
@@ -135,8 +131,16 @@ class CircuitSwitchedNoC(NocBase):
         # Exact conservation for a halted lane circuit: every word the tile
         # accepted (counted at serialiser submission) sits in the serialiser
         # queue, on the wires, or in the sink's receive queue until the
-        # consumer drains it — equality means nothing is left in flight.
-        return endpoints.words_received == endpoints.words_sent
+        # consumer drains it — equality means no word is left in flight.
+        if endpoints.words_received != endpoints.words_sent:
+            return False
+        # The acknowledges for the last words are still on the reverse path
+        # then.  Tearing the circuit down under them would let a connection
+        # configured over the same lanes latch them as its own credit, so
+        # the drain also waits until the source window is full again.
+        source = endpoints.source
+        window = source.router.converter.serializers[source.lane].window
+        return window.credits is None or window.credits == window.config.window_size
 
     def _new_admission_controller(self) -> LaneAllocator:
         return LaneAllocator(
@@ -152,16 +156,14 @@ class CircuitSwitchedNoC(NocBase):
     def apply_circuit(self, circuit: LaneCircuit) -> None:
         """Write one lane circuit into the routers along its route."""
         for hop in circuit.hops:
-            if self.is_local(hop.position):
-                self.router_at(hop.position).configure(
-                    hop.out_port, hop.out_lane, hop.in_port, hop.in_lane
-                )
+            self.router_at(hop.position).configure(
+                hop.out_port, hop.out_lane, hop.in_port, hop.in_lane
+            )
 
     def remove_circuit(self, circuit: LaneCircuit) -> None:
         """Tear one lane circuit down again."""
         for hop in circuit.hops:
-            if self.is_local(hop.position):
-                self.router_at(hop.position).deconfigure(hop.out_port, hop.out_lane)
+            self.router_at(hop.position).deconfigure(hop.out_port, hop.out_lane)
 
     def apply_allocation(self, allocation: CircuitAllocation) -> None:
         """Configure every lane circuit of a channel allocation."""
@@ -199,34 +201,19 @@ class CircuitSwitchedNoC(NocBase):
             self.streams[name] = endpoints
             return endpoints
         circuit = allocation.circuits[0]
-        # The tile driver pulls one word per pacer emission, unconditionally
-        # — the remote pull model is the pacer schedule itself.
-        word_source = self._register_stream_source(
-            name,
+        driver = TileStreamDriver(
+            f"{name}_src",
+            self.router_at(circuit.src),
+            circuit.source_tile_lane,
             word_source,
-            self.is_local(circuit.src),
-            lambda: PacedPullModel(
-                load,
-                phits_per_packet(self.data_width, self.lane_width),
-                self.kernel.cycle,
-            ),
+            load,
+            mark_blocks=mark_blocks,
         )
-        driver = sink = None
-        if self.is_local(circuit.src):
-            driver = TileStreamDriver(
-                f"{name}_src",
-                self.router_at(circuit.src),
-                circuit.source_tile_lane,
-                word_source,
-                load,
-                mark_blocks=mark_blocks,
-            )
-            self.kernel.add(driver)
-        if self.is_local(circuit.dst):
-            sink = TileStreamConsumer(
-                f"{name}_dst", self.router_at(circuit.dst), circuit.destination_tile_lane
-            )
-            self.kernel.add(sink)
+        self.kernel.add(driver)
+        sink = TileStreamConsumer(
+            f"{name}_dst", self.router_at(circuit.dst), circuit.destination_tile_lane
+        )
+        self.kernel.add(sink)
         endpoints = StreamEndpoints(name, driver, sink, allocation)
         self.streams[name] = endpoints
         return endpoints

@@ -25,7 +25,6 @@ from repro.energy.technology import TSMC_130NM_LVHP, Technology
 from repro.noc.fabric import NocBase, WordSource, register_network_kind
 from repro.noc.routing import RoutingTable
 from repro.noc.topology import Position, Topology
-from repro.noc.word_proxy import PacedPullModel
 
 __all__ = ["PacketStreamEndpoints", "PacketSwitchedNoC"]
 
@@ -35,14 +34,14 @@ class PacketStreamEndpoints:
     """Book-keeping for one word stream carried by the packet-switched network."""
 
     name: str
-    source: Optional[TilePacketDriver]
+    source: TilePacketDriver
     src: Position
     dst: Position
 
     @property
     def words_sent(self) -> int:
         """Words handed to the source tile interface."""
-        return self.source.words_sent if self.source is not None else 0
+        return self.source.words_sent
 
 
 @register_network_kind("packet", "packet_switched", "ps")
@@ -63,14 +62,11 @@ class PacketSwitchedNoC(NocBase):
         words_per_packet: int = 16,
         tech: Technology = TSMC_130NM_LVHP,
         schedule: str = "auto",
-        region=None,
     ) -> None:
         self.num_vcs = num_vcs
         self.fifo_depth = fifo_depth
         self.words_per_packet = words_per_packet
-        #: Per-router next-hop decisions, derived once from the full
-        #: topology (also in a shard region network, so every shard's
-        #: routers take the identical next-hop decisions).
+        #: Per-router next-hop decisions, derived once from the topology.
         self.routing = RoutingTable(topology)
         super().__init__(
             topology,
@@ -78,7 +74,6 @@ class PacketSwitchedNoC(NocBase):
             data_width=data_width,
             tech=tech,
             schedule=schedule,
-            region=region,
         )
 
     # -- construction hooks -----------------------------------------------------------
@@ -99,8 +94,6 @@ class PacketSwitchedNoC(NocBase):
         return PacketLink(f"pkt_{src[0]}_{src[1]}__{dst[0]}_{dst[1]}", self.num_vcs)
 
     def _stream_received(self, endpoints: PacketStreamEndpoints) -> int:
-        if not self.is_local(endpoints.dst):
-            return 0
         return self.words_received_at(endpoints.dst, endpoints.src)
 
     def _stream_drained(self, endpoints: PacketStreamEndpoints) -> bool:
@@ -143,29 +136,17 @@ class PacketSwitchedNoC(NocBase):
             if not self.topology.contains(position):
                 raise ConfigurationError(f"position {position} is outside the topology")
         if vc is None:
-            # Derived from the stream-registry size, which every shard of a
-            # replayed configuration sequence grows identically.
             vc = len(self.streams) % self.num_vcs
-        # The tile driver pulls one word per pacer emission, unconditionally;
-        # its pacer always uses the driver-default 16-bit/4-bit geometry.
-        word_source = self._register_stream_source(
-            name,
+        driver = TilePacketDriver(
+            f"{name}_src",
+            self.router_at(src),
             word_source,
-            self.is_local(src),
-            lambda: PacedPullModel(load, phits_per_packet(16, 4), self.kernel.cycle),
+            dest=dst,
+            load=load,
+            vc=vc,
+            words_per_packet=words_per_packet or self.words_per_packet,
         )
-        driver = None
-        if self.is_local(src):
-            driver = TilePacketDriver(
-                f"{name}_src",
-                self.router_at(src),
-                word_source,
-                dest=dst,
-                load=load,
-                vc=vc,
-                words_per_packet=words_per_packet or self.words_per_packet,
-            )
-            self.kernel.add(driver)
+        self.kernel.add(driver)
         endpoints = PacketStreamEndpoints(name, driver, src, dst)
         self.streams[name] = endpoints
         return endpoints

@@ -32,7 +32,6 @@ __all__ = [
     "Mesh2D",
     "Torus2D",
     "IrregularMesh",
-    "partition_topology",
 ]
 
 Position = Tuple[int, int]
@@ -317,225 +316,3 @@ class IrregularMesh(GridTopology):
             cache[source] = dict(nx.single_source_shortest_path_length(self.to_networkx(), source))
         return cache[source]
 
-
-# ---------------------------------------------------------------------------
-# Partitioning (sharded simulation)
-# ---------------------------------------------------------------------------
-
-
-def _axis_cuts(extent: int, parts: int) -> List[Tuple[int, int]]:
-    """Split ``range(extent)`` into *parts* contiguous, balanced half-open chunks."""
-    bounds = [(index * extent) // parts for index in range(parts + 1)]
-    return [(bounds[index], bounds[index + 1]) for index in range(parts)]
-
-
-def _cut_links(topology: Topology, assign: Dict[Position, int]) -> int:
-    """Number of undirected topology links whose endpoints sit in different regions."""
-    return sum(
-        1
-        for src, dst in topology.directed_links()
-        if src < dst and assign[src] != assign[dst]
-    )
-
-
-def _mincut_regions(topology: Topology, shards: int) -> List[frozenset]:
-    """Kernighan–Lin-refined min-cut partition (deterministic, balanced).
-
-    Seeds from the best geometric candidate (rows / cols / every grid
-    factorisation, plus a row-major chunking that always exists) scored by
-    the *actual* surviving cut links — on irregular topologies a straight
-    cut through a field of broken links can be far from optimal — then runs
-    bounded KL passes: chains of best-gain moves (zero and negative gains
-    included, so the refinement can tunnel through plateaus), each chain
-    rolled back to its best prefix.  Every step iterates nodes and regions
-    in sorted order and uses no randomness, so the result is a pure function
-    of ``(topology, shards)``.  Regions are balanced within
-    ``[⌊0.75·n/k⌋, ⌈1.25·n/k⌉]`` (clamped to always admit the exact
-    ``n/k`` split) but need not stay rectangular or even contiguous — any
-    partition is *correct*; fewer cut links just mean less boundary-frame
-    traffic.
-    """
-    positions = sorted(topology.positions())
-    n = len(positions)
-    adjacency: Dict[Position, List[Position]] = {p: [] for p in positions}
-    for src, dst in topology.directed_links():
-        adjacency[src].append(dst)
-    for neighbors in adjacency.values():
-        neighbors.sort()
-    lo = max(1, min((3 * n) // (4 * shards), n // shards))
-    hi = max(-(-5 * n // (4 * shards)), -(-n // shards))
-
-    # -- seed candidates ----------------------------------------------------
-    candidates: List[List[frozenset]] = []
-    width, height = topology.width, topology.height
-    geometries = {(1, shards), (shards, 1)} | {
-        (gx, shards // gx)
-        for gx in range(1, shards + 1)
-        if shards % gx == 0
-    }
-    for gx, gy in sorted(geometries):
-        if gx > width or gy > height:
-            continue
-        regions = []
-        for y_lo, y_hi in _axis_cuts(height, gy):
-            for x_lo, x_hi in _axis_cuts(width, gx):
-                regions.append(
-                    frozenset(
-                        (x, y)
-                        for x in range(x_lo, x_hi)
-                        for y in range(y_lo, y_hi)
-                        if topology.contains((x, y))
-                    )
-                )
-        if all(lo <= len(region) <= hi for region in regions):
-            candidates.append(regions)
-    # Row-major chunking: always feasible and balanced within ±1 router.
-    bounds = [(index * n) // shards for index in range(shards + 1)]
-    candidates.append(
-        [
-            frozenset(positions[bounds[index] : bounds[index + 1]])
-            for index in range(shards)
-        ]
-    )
-    scored = []
-    for order, regions in enumerate(candidates):
-        assign = {p: i for i, region in enumerate(regions) for p in region}
-        scored.append((_cut_links(topology, assign), order, assign))
-    _best_cut, _order, assign = min(scored, key=lambda item: item[:2])
-
-    # -- KL refinement ------------------------------------------------------
-    sizes = [0] * shards
-    for region_index in assign.values():
-        sizes[region_index] += 1
-    current_cut = min(scored, key=lambda item: item[:2])[0]
-    max_chain = min(n, 128)
-    for _kl_pass in range(8):
-        locked: set = set()
-        trail: List[Tuple[Position, int, int]] = []
-        chain_cut = current_cut
-        best_cut, best_len = current_cut, 0
-        while len(trail) < max_chain:
-            best = None
-            for node in positions:
-                if node in locked:
-                    continue
-                i = assign[node]
-                if sizes[i] <= lo:
-                    continue
-                internal = 0
-                external: Dict[int, int] = {}
-                for neighbor in adjacency[node]:
-                    j = assign[neighbor]
-                    if j == i:
-                        internal += 1
-                    else:
-                        external[j] = external.get(j, 0) + 1
-                for j in sorted(external):
-                    if sizes[j] >= hi:
-                        continue
-                    gain = external[j] - internal
-                    key = (-gain, node, j)
-                    if best is None or key < best[0]:
-                        best = (key, gain, node, j)
-            if best is None:
-                break
-            _key, gain, node, j = best
-            i = assign[node]
-            assign[node] = j
-            sizes[i] -= 1
-            sizes[j] += 1
-            locked.add(node)
-            trail.append((node, i, j))
-            chain_cut -= gain
-            if chain_cut < best_cut:
-                best_cut, best_len = chain_cut, len(trail)
-        for node, i, j in reversed(trail[best_len:]):
-            assign[node] = i
-            sizes[i] += 1
-            sizes[j] -= 1
-        if best_cut >= current_cut:
-            break
-        current_cut = best_cut
-    regions = [set() for _ in range(shards)]
-    for node, region_index in assign.items():
-        regions[region_index].add(node)
-    return [frozenset(region) for region in regions]
-
-
-def partition_topology(
-    topology: Topology,
-    shards: int,
-    mode: str = "auto",
-    strategy: str | None = None,
-) -> List[frozenset]:
-    """Cut *topology* into *shards* regions for the sharded simulation runner.
-
-    The deterministic partitioner of :mod:`repro.sim.shard`.  The geometric
-    modes place every region inside one rectangle of a ``gx × gy`` grid of
-    cuts over the bounding box, with ``gx * gy == shards`` and balanced side
-    lengths: ``"rows"`` cuts into horizontal bands (``gx = 1``), ``"cols"``
-    into vertical bands (``gy = 1``), and ``"auto"`` / ``"grid"`` picks the
-    factorisation minimising the total cut length (the number of boundary
-    link pairs the shards will have to synchronise).  ``"mincut"`` instead
-    refines the best geometric seed with deterministic Kernighan–Lin passes
-    minimising the *actual* surviving cut links — on irregular meshes and
-    tori a straight cut can cross far more live links than a cut threaded
-    through the broken ones — under a ±25 % region-size balance bound;
-    its regions need not be rectangular.  *strategy* is an alias for *mode*
-    and takes precedence when given.  Regions are returned in deterministic
-    order and every region is non-empty — any partition is *correct* (cut
-    links become boundary proxies either way); the choice only affects
-    synchronisation traffic.
-    """
-    if strategy is not None:
-        mode = strategy
-    if shards < 1:
-        raise ValueError("shards must be positive")
-    if shards > topology.size:
-        raise ValueError(
-            f"cannot cut a {topology.size}-router topology into {shards} shards"
-        )
-    if shards == 1:
-        return [frozenset(topology.positions())]
-    if mode == "mincut":
-        return _mincut_regions(topology, shards)
-    width, height = topology.width, topology.height
-    if mode == "rows":
-        candidates = [(1, shards)] if shards <= height else []
-    elif mode == "cols":
-        candidates = [(shards, 1)] if shards <= width else []
-    elif mode in ("auto", "grid"):
-        candidates = [
-            (gx, shards // gx)
-            for gx in range(1, shards + 1)
-            if shards % gx == 0 and gx <= width and shards // gx <= height
-        ]
-    else:
-        raise ValueError(f"unknown partition mode {mode!r}")
-    if not candidates:
-        raise ValueError(
-            f"cannot cut a {width}x{height} bounding box into {shards} "
-            f"{mode!r} shards"
-        )
-    # Fewer/shorter cut lines mean fewer boundary links to synchronise.
-    gx, gy = min(
-        candidates, key=lambda c: ((c[0] - 1) * height + (c[1] - 1) * width, c[0])
-    )
-    x_cuts = _axis_cuts(width, gx)
-    y_cuts = _axis_cuts(height, gy)
-    regions: List[frozenset] = []
-    for y_lo, y_hi in y_cuts:
-        for x_lo, x_hi in x_cuts:
-            region = frozenset(
-                (x, y)
-                for x in range(x_lo, x_hi)
-                for y in range(y_lo, y_hi)
-                if topology.contains((x, y))
-            )
-            if not region:
-                raise ValueError(
-                    f"partition into {shards} shards leaves the region "
-                    f"x∈[{x_lo},{x_hi}) y∈[{y_lo},{y_hi}) empty — use fewer shards"
-                )
-            regions.append(region)
-    return regions

@@ -151,23 +151,15 @@ loaded 8×8 mesh.
 """
 
 from repro.sim.engine import ClockedComponent, SimulationKernel
-from repro.sim.signals import DirtyBit, Register, RegisterBank, Wire
-from repro.sim.stats import Counter, SchedulerStats, StatsCollector, Histogram
+from repro.sim.signals import DirtyBit
+from repro.sim.stats import SchedulerStats
 from repro.sim.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "ClockedComponent",
     "SimulationKernel",
-    "ShardedNetwork",
-    "ShardedSimulation",
-    "Register",
-    "RegisterBank",
-    "Wire",
     "DirtyBit",
-    "Counter",
     "SchedulerStats",
-    "StatsCollector",
-    "Histogram",
     "TraceEvent",
     "TraceRecorder",
     "VectorPlane",
@@ -175,16 +167,8 @@ __all__ = [
 
 
 def __getattr__(name):  # PEP 562 lazy export
-    # The sharded front-end sits above repro.noc (it builds region networks),
-    # while repro.noc sits above this package's kernel — importing it eagerly
-    # here would close that cycle.  Resolved lazily instead.
-    if name in ("ShardedNetwork", "ShardedSimulation"):
-        from repro.sim import shard
-
-        return getattr(shard, name)
+    # The plane needs NumPy, which the kernel itself does not.
     if name == "VectorPlane":
-        # Lazy as well: the plane needs NumPy, which the kernel itself does
-        # not.
         from repro.sim.vector import VectorPlane
 
         return VectorPlane

@@ -174,7 +174,7 @@ class ClockedComponent(abc.ABC):
     #: :class:`repro.sim.vector.VectorPlane` on its member components: any
     #: dirty-bit wake is then also reported to the plane, which must know
     #: when a member's inputs changed outside its own batched execution
-    #: (reconfiguration, tile writes, boundary-frame drives).  Class default
+    #: (reconfiguration, tile writes, faults).  Class default
     #: ``None`` keeps the hot path a single attribute test.
     _batch_plane: ClassVar[Optional[object]] = None
 
@@ -346,7 +346,7 @@ class SimulationKernel:
         self._event_seq = 0
         #: Hooks run at the end of every :meth:`sync` — the vector plane
         #: flushes its batched activity/wire state here so external readers
-        #: (benchmarks, tests, the sharded runner's merge) always observe
+        #: (benchmarks, tests, reports) always observe
         #: scalar-coherent state between runs.
         self._sync_hooks: list[Callable[[], None]] = []
         self.scheduler_stats = SchedulerStats()
@@ -874,50 +874,6 @@ class SimulationKernel:
                 # Somebody just went to sleep: the horizon may have opened.
                 self._next_leap_attempt = 0
             del awake[write:]
-
-    def activity_horizon(self, limit: int) -> int:
-        """First cycle ≥ :attr:`cycle` at which anything local may happen.
-
-        The conservative-lookahead primitive of the sharded runner
-        (:mod:`repro.sim.shard`): a lower bound on the next cycle whose
-        evaluate/commit could exceed idle accounting, given that no input
-        changes from outside.  Returning the current cycle means "active
-        now" (the caller must single-step); a later cycle means every cycle
-        in between is provably an idle tick for every registered component,
-        so a synchronisation window may batch them.  Never exceeds *limit*,
-        never runs a cycle, never changes observable state.
-        """
-        cycle = self._cycle
-        if cycle >= limit:
-            return cycle
-        if self._woken or self._has_dense_hooks:
-            return cycle
-        target = self._hook_bound(cycle, limit)
-        if target <= cycle:
-            return cycle
-        if self._event:
-            if self._awake:
-                return cycle
-            heap = self._heap
-            while heap:
-                due, idx, _seq, component = heap[0]
-                if component._due == due and component._kernel_index == idx:
-                    if due < target:
-                        target = due
-                    break
-                heapq.heappop(heap)
-            return max(cycle, min(target, limit))
-        if self.schedule == "strict":
-            return cycle
-        # auto: scan the awake set under the leap guard, exactly like a
-        # leap attempt (sleeping components only wake on input changes, so
-        # they never bound the horizon).
-        self._phase = "leap"
-        try:
-            target = self._component_horizon(cycle, target)
-        finally:
-            self._phase = "idle"
-        return target
 
     def step(self) -> int:
         """Advance the simulation by one clock cycle and return the new count."""

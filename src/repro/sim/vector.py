@@ -1,7 +1,7 @@
 """The columnar fast path: a struct-of-arrays wire plane for busy fabrics.
 
-Every prior scheduling tier (quiescence wakes, timed leaps, the event heap,
-sharding) attacks *idle* cost; a fully loaded fabric still pays a pure-Python
+Every prior scheduling tier (quiescence wakes, timed leaps, the event heap)
+attacks *idle* cost; a fully loaded fabric still pays a pure-Python
 per-component loop on every busy cycle.  The :class:`VectorPlane` flattens
 that loop: all crossbar output/acknowledge registers of a whole
 circuit-switched fabric live in preallocated NumPy arrays, and one busy cycle
@@ -18,8 +18,7 @@ How it stays bit-identical to the strict reference schedule:
   driving router's committed register (the scalar commit drives the wire on
   every register change).  A sentinel slot pinned to the idle value stands in
   for constant sources (unattached ports); tile-port serialiser outputs and
-  *foreign* wires (shard boundaries, dead links) are patched scalar per
-  cycle.
+  *foreign* wires (dead links) are patched scalar per cycle.
 * **Vectorised activity accounting.**  Register/crossbar toggles come from
   ``popcount(xor(new, old))`` (:func:`numpy.bitwise_count`), which equals the
   scalar ``int.bit_count`` path exactly; acknowledge flips count one bit
@@ -28,7 +27,7 @@ How it stays bit-identical to the strict reference schedule:
   :meth:`flush` time, so the per-router totals match the strict schedule
   ULP-exactly (they are integer sums either way).
 * **Version guards and the reference fallback.**  Any member wake
-  (reconfiguration, fault, tile write, boundary frame) lands in the plane's
+  (reconfiguration, fault, tile write) lands in the plane's
   dirty list via :attr:`repro.sim.engine.ClockedComponent._batch_plane`.  A
   configuration-version change triggers one *reference cycle*: the plane
   flushes its arrays back into the scalar objects and runs every member's
@@ -531,7 +530,7 @@ class VectorPlane(ClockedComponent):
 
         Registered as a kernel sync hook, so it runs at the end of every
         ``run``/``step`` — external readers (benchmarks, equivalence tests,
-        the sharded aggregation) always observe scalar-coherent registers,
+        reports) always observe scalar-coherent registers,
         wires and activity counters.  Idempotent: with nothing batched it
         returns immediately.
         """

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps import hiperlan2, umts
+from repro.apps import drm, hiperlan2, umts
 from repro.common import ReproError
 from repro.experiments.dynamic import (
     WorkloadEvent,
@@ -99,6 +99,23 @@ class TestValidation:
         events = [WorkloadEvent(10, "depart", "ghost")]
         with pytest.raises(ReproError):
             run_dynamic_workload("circuit", Mesh2D(4, 4), events, total_cycles=100)
+
+    def test_departure_of_rejected_arrival_is_logged(self):
+        # UMTS and DRM leave no DSP/DSRH/FPGA slack on the 5x5 grid for
+        # HiperLAN/2's filters (the paper schedule's cycle-1700 rejection);
+        # the rejected arrival's scheduled departure finds nothing to release.
+        events = [
+            WorkloadEvent(0, "arrive", "umts", umts.build_process_graph),
+            WorkloadEvent(100, "arrive", "drm", drm.build_process_graph),
+            WorkloadEvent(200, "arrive", "hiperlan2", hiperlan2.build_process_graph),
+            WorkloadEvent(300, "depart", "hiperlan2"),
+            WorkloadEvent(400, "depart", "umts"),
+            WorkloadEvent(500, "depart", "drm"),
+        ]
+        result = run_dynamic_workload("circuit", events=events, total_cycles=600)
+        assert result.rejected == ["hiperlan2"]
+        assert result.epochs[3].events == ["depart hiperlan2 (never admitted)"]
+        assert result.end_leak_free
 
     def test_custom_schedule_on_custom_topology(self):
         events = [

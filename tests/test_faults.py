@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps import hiperlan2, umts
+from repro.apps import drm, hiperlan2, umts
 from repro.apps.traffic import BitFlipPattern, word_generator
 from repro.baseline.flit import Flit, FlitType
 from repro.baseline.link import PacketLink
@@ -26,6 +26,7 @@ from repro.noc import (
     random_link_chooser,
     random_router_chooser,
 )
+from repro.noc.faults import region_chooser, row_cut_chooser
 
 KINDS = ("circuit", "packet", "gt")
 
@@ -341,3 +342,85 @@ class TestWorkloadFaultEvents:
         with pytest.raises(ReproError, match="without a live admission"):
             run_dynamic_workload("gt", topology=Mesh2D(3, 3), events=events,
                                  total_cycles=100)
+
+
+class TestStaleAcknowledges:
+    """Teardown must not strand acknowledge pulses on a circuit's reverse path.
+
+    Once the last word of a halted lane circuit reaches its sink, the
+    acknowledges for the last words are still travelling back to the source.
+    A drain that stops there lets recovery deconfigure the circuit and
+    configure a new one over the same lanes in the same cycle; the new
+    connection then latches a stale pulse and its fresh window overflows.
+    """
+
+    def test_drain_waits_for_returning_acknowledges(self):
+        network = build_network("circuit", Mesh2D(4, 4), frequency_hz=100e6)
+        network.attach_channel(
+            "ch", (0, 0), (3, 3), 100.0,
+            word_generator(BitFlipPattern.TYPICAL, seed=1), load=1.0,
+        )
+        network.run(200)
+        network.halt_stream("ch")
+        endpoints = network.streams["ch"]
+        source = endpoints.source
+        window = source.router.converter.serializers[source.lane].window
+        acks_outstanding = 0
+        while not network._stream_drained(endpoints):
+            if endpoints.words_received == endpoints.words_sent:
+                acks_outstanding += 1
+            network.run(1)
+        # Every word arrived several cycles before its acknowledge did.
+        assert acks_outstanding > 0
+        assert endpoints.words_received == endpoints.words_sent > 0
+        assert window.credits == window.config.window_size
+
+    @staticmethod
+    def _assert_survived(outcomes):
+        strict, auto = outcomes["strict"], outcomes["auto"]
+        assert telemetry_columns(strict) == telemetry_columns(auto)
+        assert strict.words_delivered == auto.words_delivered
+        assert auto.displaced
+        accounted = set(auto.readmitted) | set(auto.displaced_rejected)
+        assert set(auto.displaced) <= accounted
+        assert auto.end_leak_free
+
+    def test_correlated_storm_recovers_without_window_overflow(self):
+        outcomes = {
+            schedule: run_storm(
+                "circuit", Mesh2D(8, 8), storm_size=6, seed=3,
+                row_cut_every=4, region_every=5, schedule=schedule,
+            ).result
+            for schedule in ("strict", "auto")
+        }
+        self._assert_survived(outcomes)
+
+    def test_terminal_churn_recovers_without_window_overflow(self):
+        def events():
+            return [
+                WorkloadEvent(0, "arrive", "drm", drm.build_process_graph),
+                WorkloadEvent(120, "arrive", "hiperlan2", hiperlan2.build_process_graph),
+                WorkloadEvent(290, "arrive", "umts", umts.build_process_graph),
+                WorkloadEvent(400, "depart", "umts"),
+                WorkloadEvent(600, "arrive", "umts", umts.build_process_graph),
+                WorkloadEvent(740, "fault", fault=FaultSpec(
+                    "link", chooser=loaded_link_chooser(40314606))),
+                WorkloadEvent(870, "fault", fault=FaultSpec(
+                    "router", chooser=random_router_chooser(788531648))),
+                WorkloadEvent(1030, "fault", fault=FaultSpec(
+                    "router", chooser=region_chooser(943167541))),
+                WorkloadEvent(1130, "fault", fault=FaultSpec(
+                    "link", chooser=row_cut_chooser(582985696))),
+                WorkloadEvent(1320, "depart", "hiperlan2"),
+                WorkloadEvent(1470, "depart", "umts"),
+                WorkloadEvent(1650, "depart", "drm"),
+            ]
+
+        outcomes = {
+            schedule: run_dynamic_workload(
+                "circuit", Mesh2D(8, 8), events(), total_cycles=1950,
+                seed=1071371885, schedule=schedule,
+            )
+            for schedule in ("strict", "auto")
+        }
+        self._assert_survived(outcomes)

@@ -7,6 +7,9 @@ cycle, the kernel leaps the clock straight there.  These tests pin down the
 leap semantics — exact emission schedules, leap boundaries, the
 impossibility of wakes inside a leap window, removal of timed components —
 and the strict-vs-auto bit-identity with mixed timed/untimed components.
+The packet router's credit-event prediction closes the file: a
+back-pressured worm with a full tile buffer parks instead of reporting an
+injection event every cycle.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.traffic import BitFlipPattern, word_generator
-from repro.common import SimulationError
+from repro.common import Port, SimulationError
 from repro.core.testbench import LoadPacer
 from repro.noc.fabric import build_network
 from repro.noc.network import CircuitSwitchedNoC
@@ -489,3 +492,73 @@ class TestPacedNetworkLeaping:
         assert self._snapshot(nets["auto"]) == self._snapshot(nets["strict"])
         assert nets["auto"].kernel.scheduler_stats.leaps > 0
         assert nets["auto"].streams["a"].words_received > 0
+
+
+# ---------------------------------------------------------------------------
+# Packet-router credit-event prediction
+# ---------------------------------------------------------------------------
+
+
+def _hotspot_network(schedule):
+    """A 3×3 packet mesh whose eight outer tiles all flood the centre.
+
+    The shared ejection port is oversubscribed, so back-pressure reaches
+    all the way into the source tile buffers.
+    """
+    network = build_network(
+        "packet", Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule=schedule
+    )
+    sources = [p for p in network.topology.positions() if p != (1, 1)]
+    for index, src in enumerate(sources):
+        network.attach_channel(
+            f"hot{index}",
+            src,
+            (1, 1),
+            2000.0,
+            word_generator(BitFlipPattern.TYPICAL, seed=index),
+            load=1.0,
+        )
+    return network, sources
+
+
+def test_backpressured_worm_parks_until_credits():
+    """Sources whose tile VC buffer is full and whose head-of-line worm is
+    credit-starved must report ``None`` (park) from ``next_event_cycle``
+    instead of claiming an injection event every cycle.  Before the
+    buffer-aware predicate this could never happen with a non-empty
+    injection queue."""
+    network, sources = _hotspot_network("strict")
+    parked_with_backlog = []
+
+    def probe(cycle):
+        for src in sources:
+            router = network.router_at(src)
+            queue = router.tile._injection_queue
+            if not queue:
+                continue
+            if router.next_event_cycle(cycle) is None:
+                assert router.buffers[(Port.TILE, queue[0].vc)].is_full()
+                parked_with_backlog.append(cycle)
+
+    network.kernel.add_pre_cycle_hook(probe, every=5)
+    network.run(600)
+    assert parked_with_backlog, "no source ever parked while back-pressured"
+
+
+def test_packet_hotspot_stays_schedule_identical():
+    """The parking refinement must not change what the fabric delivers."""
+
+    def run_once(schedule):
+        network, _sources = _hotspot_network(schedule)
+        network.run(600)
+        return {
+            "cycle": network.kernel.cycle,
+            "activity": network.activity_snapshot(),
+            "streams": network.stream_statistics(),
+            "fault_drops": network.fault_drops(),
+            "energy": network.energy_per_delivered_bit_pj(),
+        }
+
+    reference = run_once("strict")
+    for schedule in ("auto", "event", "vector"):
+        assert run_once(schedule) == reference, schedule

@@ -190,6 +190,13 @@ class TestTopologyGenericNetworks:
         with pytest.raises(Exception, match="unknown network kind"):
             build_network("optical", Mesh2D(2, 2))
 
+    @pytest.mark.parametrize("kind", ("circuit", "packet", "gt"))
+    def test_factory_rejects_unknown_parameters(self, kind):
+        """Every fabric runs in one process: a multi-process request fails
+        loudly instead of silently simulating single-process."""
+        with pytest.raises(TypeError, match="shards"):
+            build_network(kind, Mesh2D(4, 4), shards=2)
+
     def test_circuit_stream_crosses_torus_wraparound(self):
         """A circuit over the wrap link uses it (1 hop) and delivers every word."""
         torus = Torus2D(4, 3)

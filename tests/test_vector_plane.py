@@ -5,7 +5,7 @@ stack and, like every tier before it, must be an *invisible* optimisation:
 ``schedule="vector"`` has to reproduce the strict reference bit for bit —
 per-router activity counters, delivered words, drop counts, cycle counts —
 on every scenario the event schedule handles, including mid-run
-reconfiguration, live faults and sharded execution.  These tests stress
+reconfiguration and live faults.  These tests stress
 that contract on drawn scenarios (kind × mesh/torus × load × churn × live
 fault), pin the plane's version guards (reconfiguration and fault
 injection must invalidate the compiled gather), and cover the correlated
@@ -291,47 +291,6 @@ def test_kernel_reset_resets_the_plane():
     network.run(120)
     assert plane._compiled
     assert network.kernel.scheduler_stats.vector_batches > 0
-
-
-# ---------------------------------------------------------------------------
-# Sharded vector execution
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("transport", ("pipe", "shm"))
-def test_sharded_vector_matches_single_process(transport):
-    """Each shard builds its own plane; boundary links take the scalar wire
-    path and the partitioned run must equal the single-process strict run."""
-
-    def run_once(schedule, shards=None):
-        params = {"frequency_hz": FREQUENCY_HZ, "schedule": schedule}
-        if shards is not None:
-            params["shards"] = shards
-            params["transport"] = transport
-        network = build_network("circuit", Mesh2D(4, 4), **params)
-        network.attach_channel(
-            "a", (0, 0), (3, 3), 100.0,
-            word_generator(BitFlipPattern.TYPICAL, seed=13), load=0.8,
-        )
-        network.attach_channel(
-            "b", (3, 0), (0, 3), 100.0,
-            word_generator(BitFlipPattern.TYPICAL, seed=14), load=0.4,
-        )
-        network.run(250)
-        network.fail_link((1, 0), (2, 0))
-        network.refresh_routing(network.degraded_topology())
-        network.run(250)
-        snapshot = {
-            "cycle": network.kernel.cycle,
-            "activity": network.activity_snapshot(),
-            "streams": network.stream_statistics(),
-            "fault_drops": network.fault_drops(),
-        }
-        if shards is not None:
-            network.close()
-        return snapshot
-
-    assert run_once("vector", shards=2) == run_once("strict")
 
 
 # ---------------------------------------------------------------------------
